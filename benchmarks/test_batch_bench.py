@@ -2,10 +2,12 @@
 
 The batch backend exists for multi-tenant monitoring — N streams, each
 with a handful of region detectors plus a global detector, advanced in
-lockstep.  These benchmarks time the *detector-stepping* stage (the part
-batching vectorizes; region formation and attribution are per-lane
-Python either way) at fleet sizes of 64, 256 and 1024 streams, feeding
-both paths identical inputs.  Detector allocation happens in benchmark
+lockstep.  These benchmarks time the *detector-stepping* stage alone at
+fleet sizes of 64, 256 and 1024 streams, feeding both paths identical
+inputs.  The region layer in front of it — one fleet-wide
+:class:`~repro.regions.attribution.SlotTable` attribution pass per
+round, then per-lane formation and accounting — is measured end to end
+by ``perfbench/`` (``lockstep-mcf`` and ``churn-gap``).  Detector allocation happens in benchmark
 setup for both paths, so the medians compare stepping throughput alone;
 the batch path steps pinned row groups
 (:meth:`~repro.batch.lpd.BatchLpdBank.observe_grouped` /

@@ -172,12 +172,20 @@ class _FrameSampler:
             self._stop.wait(interval_s)
 
     def __enter__(self) -> "_FrameSampler":
+        # The sampler thread can only run when the main thread yields the
+        # GIL, which it does every switch interval (5 ms by default): at a
+        # shorter sampling interval, shorten the switch interval to match,
+        # or a short workload can finish between two captures.
+        self._switch_interval = sys.getswitchinterval()
+        sys.setswitchinterval(min(self._switch_interval,
+                                  self.interval_ns / 1e9))
         self._thread.start()
         return self
 
     def __exit__(self, *exc: object) -> None:
         self._stop.set()
         self._thread.join(timeout=5.0)
+        sys.setswitchinterval(self._switch_interval)
 
 
 def cmd_pysample(args: argparse.Namespace) -> int:

@@ -1,6 +1,6 @@
 """Preallocated per-shard ring buffers for zero-copy interval ingestion.
 
-A :class:`ShardRing` owns one ``(n_lanes, capacity)`` int64 matrix: every
+A :class:`ShardRing` owns one int64 matrix with a row per lane: every
 lane of a shard (a :class:`~repro.batch.session.BatchSession`) writes its
 queued samples into its row instead of accumulating per-batch arrays.
 Because the capacity is always a multiple of the interval size and reads
@@ -50,10 +50,11 @@ class ShardRing:
         self.data = np.zeros((n_lanes, self.capacity), dtype=np.int64)
         self._read = np.zeros(n_lanes, dtype=np.int64)
         self._fill = np.zeros(n_lanes, dtype=np.int64)
+        self._n_lanes = n_lanes
 
     @property
     def n_lanes(self) -> int:
-        return self.data.shape[0]
+        return self._n_lanes
 
     # -- pickling ------------------------------------------------------------
 
@@ -68,8 +69,9 @@ class ShardRing:
         thing :meth:`take_interval`/:meth:`take_round` ever observe, is
         preserved exactly.
         """
+        self._materialize()
         unread = []
-        for lane in range(self.data.shape[0]):
+        for lane in range(self._n_lanes):
             fill = int(self._fill[lane])
             read = int(self._read[lane])
             first = min(fill, self.capacity - read)
@@ -88,18 +90,41 @@ class ShardRing:
         self.data = np.zeros((len(unread), self.capacity), dtype=np.int64)
         self._read = np.zeros(len(unread), dtype=np.int64)
         self._fill = np.zeros(len(unread), dtype=np.int64)
+        self._n_lanes = len(unread)
         for lane, row in enumerate(unread):
             self.data[lane, :row.size] = row
             self._fill[lane] = row.size
 
     def add_lane(self) -> int:
-        """Append one empty lane row; returns its index."""
-        lane = self.data.shape[0]
-        self.data = np.vstack(
-            [self.data, np.zeros((1, self.capacity), dtype=np.int64)])
-        self._read = np.append(self._read, 0)
-        self._fill = np.append(self._fill, 0)
+        """Append one empty lane; returns its index.
+
+        Amortized O(1).  The cursors keep spare entries (zero fill, so
+        never ready) and grow geometrically; the sample matrix gains the
+        new lanes' rows only when samples next move, with one copy for
+        all lanes added since (see :meth:`_materialize`).
+        """
+        lane = self._n_lanes
+        if lane == self._fill.size:
+            spare = np.zeros(max(4, lane), dtype=np.int64)
+            self._read = np.concatenate((self._read, spare))
+            self._fill = np.concatenate((self._fill, spare))
+        self._n_lanes = lane + 1
         return lane
+
+    def _materialize(self) -> None:
+        """Give every lane a matrix row before samples move.
+
+        Grows to at least twice the old row count, so lanes added one at
+        a time between pushes still cost O(1) amortized; lanes added
+        together (a session's set-up) get exactly one row each.  New rows
+        are left uninitialized: only written columns are ever read.
+        """
+        rows = self.data.shape[0]
+        if rows < self._n_lanes:
+            grown = np.empty((max(self._n_lanes, 2 * rows), self.capacity),
+                             dtype=np.int64)
+            grown[:rows] = self.data
+            self.data = grown
 
     def fill(self, lane: int) -> int:
         """Unread samples currently queued for *lane*."""
@@ -121,7 +146,7 @@ class ShardRing:
         while capacity < needed:
             capacity *= 2
         grown = np.zeros((self.data.shape[0], capacity), dtype=np.int64)
-        for lane in range(self.data.shape[0]):
+        for lane in range(self._n_lanes):
             fill = int(self._fill[lane])
             if fill == 0:
                 continue
@@ -140,6 +165,7 @@ class ShardRing:
         Invalidates any views previously handed out for this ring (see
         the module ownership rule).
         """
+        self._materialize()
         n = int(pcs.size)
         fill = int(self._fill[lane])
         if fill + n > self.capacity:

@@ -38,6 +38,9 @@ from repro.monitor.region_monitor import IntervalReport, RegionMonitor
 from repro.monitor.watchdog import (RegionWatchdog, WatchdogConfig,
                                     WatchdogEvent)
 from repro.program.binary import SyntheticBinary
+from repro.regions.attribution import SlotTable
+from repro.regions.formation import SeedSpans
+from repro.sampling.buffer import checked_pcs
 from repro.sampling.events import SampleStream
 from repro.telemetry.bus import EventBus, get_bus
 from repro.telemetry.events import IntervalClosed, SampleBatch
@@ -103,22 +106,14 @@ class BatchLane:
     def feed_many(self, pcs: np.ndarray) -> int:
         """Queue a batch of samples; returns full intervals now pending.
 
-        Validation matches ``OnlineSession.feed_many`` exactly — a
-        non-1-D, empty or non-integer batch raises
+        Validation is ``OnlineSession.feed_many``'s
+        (:func:`~repro.sampling.buffer.checked_pcs`) — a non-1-D, empty,
+        non-integer or out-of-range batch raises
         :class:`~repro.errors.SamplingError`.  Samples land in the
         session's preallocated :class:`~repro.batch.rings.ShardRing`, so
         interval completion later hands the banks direct views.
         """
-        pcs = np.asarray(pcs)
-        if pcs.ndim != 1:
-            raise SamplingError(
-                f"feed_many expects a 1-D sample batch, got shape "
-                f"{pcs.shape}")
-        if pcs.size == 0:
-            raise SamplingError("feed_many received an empty batch")
-        if not np.issubdtype(pcs.dtype, np.integer):
-            raise SamplingError(
-                f"feed_many expects integer PCs, got dtype {pcs.dtype}")
+        pcs = checked_pcs(pcs)
         self.stats.samples += int(pcs.size)
         bus = self.telemetry
         if bus.enabled:
@@ -195,10 +190,41 @@ class BatchSession:
                 dwell_intervals=self.gpd_thresholds.dwell_intervals,
                 history_length=self.gpd_thresholds.history_length)
         self.lanes: list[BatchLane] = []
+        #: Region-layer state derived from the lanes' registries: one
+        #: slot table attributing every ready lane per round (list
+        #: strategy only; other strategies attribute lane by lane), and
+        #: one formation memo shared by every lane.  Neither is pickled.
+        self._slots: SlotTable | None = (
+            SlotTable() if self._fleet_attribution() else None)
+        self._seed_spans: SeedSpans | None = None
         self._ring = ShardRing(0, self.buffer_size)
         self._regrouper = FleetRegrouper(self.lpd_bank)
         self._gpd_group: GpdRowGroup | None = None
         self._gpd_group_key: bytes | None = None
+
+    def _fleet_attribution(self) -> bool:
+        strategy = self._monitor_kwargs.get("attribution", "list")
+        return self._binary is not None and bool(strategy == "list")
+
+    # -- pickling ------------------------------------------------------------
+
+    def __getstate__(self) -> dict[str, Any]:
+        state = self.__dict__.copy()
+        state.pop("_slots", None)
+        state.pop("_seed_spans", None)
+        return state
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        monitors = [lane.monitor for lane in self.lanes
+                    if lane.monitor is not None]
+        self._slots = (SlotTable([m.registry for m in monitors])
+                       if self._fleet_attribution() else None)
+        # Every lane restored its own empty memo; share the first again.
+        self._seed_spans = (monitors[0].formation.seed_spans if monitors
+                            else None)
+        for monitor in monitors:
+            monitor.formation.seed_spans = monitors[0].formation.seed_spans
 
     # -- lane management -----------------------------------------------------
 
@@ -227,7 +253,10 @@ class BatchSession:
             monitor = RegionMonitor(
                 self._binary, self.monitor_thresholds, telemetry=bus,
                 detector_factory=self.lpd_bank.add_detector,
-                **self._monitor_kwargs)
+                seed_spans=self._seed_spans, **self._monitor_kwargs)
+            self._seed_spans = monitor.formation.seed_spans
+            if self._slots is not None:
+                self._slots.add(monitor.registry)
             if self._watchdog_config is not None:
                 watchdog = RegionWatchdog(self._watchdog_config, monitor,
                                           telemetry=bus)
@@ -298,8 +327,10 @@ class BatchSession:
         no copies — and replays the scalar overflow path with the
         per-detector work batched: all GPD rows step in one block call,
         then all monitors attribute, then every region of every lane
-        steps through the regrouper's cached plan.  Returns the total
-        number of intervals processed.
+        steps through the regrouper's cached plan.  With the list
+        attribution strategy the monitors' attribution is one
+        :class:`~repro.regions.attribution.SlotTable` pass over the whole
+        round.  Returns the total number of intervals processed.
         """
         ring = self._ring
         rounds = 0
@@ -323,9 +354,11 @@ class BatchSession:
                         for callback in lane._global_callbacks:
                             callback(event)
 
+            attributions = (None if self._slots is None
+                            else self._slots.attribute(block, ready_indices))
             pendings = []
             participants = []
-            for lane, buffer in zip(ready, block):
+            for row, (lane, buffer) in enumerate(zip(ready, block)):
                 if lane.monitor is None:
                     # GPD-only lane: no monitor closes the interval;
                     # -1.0 marks the UCR fraction as not applicable.
@@ -337,7 +370,9 @@ class BatchSession:
                     pendings.append(None)
                     continue
                 pending = lane.monitor.begin_interval(
-                    buffer, lane._interval_index)
+                    buffer, lane._interval_index,
+                    attribution=(None if attributions is None
+                                 else attributions[row]))
                 pendings.append(pending)
                 participants.append((lane.monitor, pending))
             outcomes = self._regrouper.observe_round(participants)

@@ -31,7 +31,7 @@ from repro.monitor.region_monitor import IntervalReport, RegionMonitor
 from repro.monitor.watchdog import (RegionWatchdog, WatchdogConfig,
                                     WatchdogEvent)
 from repro.program.binary import SyntheticBinary
-from repro.sampling.buffer import SampleBuffer
+from repro.sampling.buffer import SampleBuffer, checked_pcs
 from repro.sampling.events import SampleStream
 from repro.telemetry.bus import EventBus, get_bus
 from repro.telemetry.events import IntervalClosed, SampleBatch
@@ -131,22 +131,12 @@ class OnlineSession:
     def feed_many(self, pcs: np.ndarray) -> int:
         """Deliver a batch of samples; returns completed-interval count.
 
-        The batch must be a non-empty one-dimensional integer array —
-        float PCs would be silently truncated and an empty batch is
-        always a driver bug, so both raise
-        :class:`~repro.errors.SamplingError` instead of misbehaving.
+        The batch must be a non-empty one-dimensional integer array of
+        in-range addresses; anything else raises
+        :class:`~repro.errors.SamplingError` instead of misbehaving (see
+        :func:`~repro.sampling.buffer.checked_pcs`).
         """
-        pcs = np.asarray(pcs)
-        if pcs.ndim != 1:
-            raise SamplingError(
-                f"feed_many expects a 1-D sample batch, got shape "
-                f"{pcs.shape}")
-        if pcs.size == 0:
-            raise SamplingError("feed_many received an empty batch")
-        if not np.issubdtype(pcs.dtype, np.integer):
-            raise SamplingError(
-                f"feed_many expects integer PCs, got dtype {pcs.dtype}")
-        pcs = pcs.astype(np.int64, copy=False)
+        pcs = checked_pcs(pcs)
         self.stats.samples += int(pcs.size)
         bus = self._telemetry
         if bus.enabled:

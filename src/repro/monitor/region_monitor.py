@@ -29,8 +29,10 @@ from repro.core.thresholds import MonitorThresholds
 from repro.costs import CostLedger
 from repro.errors import RegionError
 from repro.program.binary import SyntheticBinary
-from repro.regions.attribution import make_attributor
-from repro.regions.formation import FormationOutcome, RegionFormation
+from repro.regions.attribution import (AttributionResult, ListAttributor,
+                                       make_attributor)
+from repro.regions.formation import (FormationOutcome, RegionFormation,
+                                     SeedSpans)
 from repro.regions.pruning import PruningPolicy, RegionActivity
 from repro.regions.region import Region
 from repro.regions.registry import RegionRegistry
@@ -125,6 +127,10 @@ class RegionMonitor:
         arguments) that supplies each region's detector.  The batch
         backend passes a bank-row allocator here; anything returned must
         honor the ``LocalPhaseDetector`` surface.
+    seed_spans:
+        Optional formation memo (:class:`~repro.regions.formation.
+        SeedSpans`) shared with other monitors of the same binary; the
+        batch backend gives one to every lane.
     """
 
     def __init__(self, binary: SyntheticBinary,
@@ -137,7 +143,8 @@ class RegionMonitor:
                  pruning: PruningPolicy | None = None,
                  ledger: CostLedger | None = None,
                  telemetry: EventBus | None = None,
-                 detector_factory=None) -> None:
+                 detector_factory=None,
+                 seed_spans: SeedSpans | None = None) -> None:
         self.binary = binary
         self._telemetry = telemetry if telemetry is not None else get_bus()
         self.thresholds = thresholds or MonitorThresholds()
@@ -151,7 +158,8 @@ class RegionMonitor:
             max_seeds=self.thresholds.formation_max_seeds,
             interprocedural=interprocedural,
             trace_fallback=trace_formation,
-            annotations=annotations)
+            annotations=annotations,
+            seed_spans=seed_spans)
         self.ucr = UcrTracker(self.thresholds.ucr_threshold)
         self.pruning = pruning
         self._measure = measure
@@ -287,7 +295,8 @@ class RegionMonitor:
 
     def begin_interval(self, pcs: np.ndarray,
                        interval_index: int | None = None,
-                       miss_flags: np.ndarray | None = None
+                       miss_flags: np.ndarray | None = None,
+                       attribution: AttributionResult | None = None
                        ) -> PendingInterval:
         """Attribute and account one buffer; defer phase detection.
 
@@ -296,6 +305,13 @@ class RegionMonitor:
         charges, miss rates, activity), and returns the deferred detector
         observations.  ``process_interval`` is exactly ``begin`` +
         ``observe_pending`` + ``finish``.
+
+        *attribution*, when given, is this interval's list attribution
+        computed elsewhere over the current registry (a batch harness
+        attributes a whole fleet round in one
+        :class:`~repro.regions.attribution.SlotTable` pass); it is charged
+        to the ledger exactly as the monitor's own list attributor would
+        charge it.
         """
         self._interval_index = (self._interval_index + 1
                                 if interval_index is None
@@ -310,7 +326,15 @@ class RegionMonitor:
                     f"expected {pcs.size}")
 
         # 1. Distribute samples (cost charged by the attributor).
-        result = self.attributor.attribute(pcs)
+        if attribution is None:
+            result = self.attributor.attribute(pcs)
+        else:
+            if not isinstance(self.attributor, ListAttributor):
+                raise RegionError(
+                    f"a precomputed attribution needs the list strategy, "
+                    f"not {type(self.attributor).__name__}")
+            self.attributor.charge(attribution)
+            result = attribution
 
         # 2. UCR accounting and formation trigger.
         formation_outcome: FormationOutcome | None = None

@@ -2,8 +2,10 @@
 
 from repro.regions.annotations import Annotation, AnnotationTable
 from repro.regions.attribution import (AttributionResult, ListAttributor,
-                                       TreeAttributor, make_attributor)
-from repro.regions.formation import FormationOutcome, RegionFormation
+                                       SlotTable, TreeAttributor,
+                                       make_attributor)
+from repro.regions.formation import (FormationOutcome, RegionFormation,
+                                     SeedSpans)
 from repro.regions.interval_tree import Interval, IntervalTree
 from repro.regions.pruning import PruningPolicy, RegionActivity
 from repro.regions.region import Region, RegionKind
@@ -16,10 +18,12 @@ __all__ = [
     "AnnotationTable",
     "AttributionResult",
     "ListAttributor",
+    "SlotTable",
     "TreeAttributor",
     "make_attributor",
     "FormationOutcome",
     "RegionFormation",
+    "SeedSpans",
     "Interval",
     "IntervalTree",
     "PruningPolicy",

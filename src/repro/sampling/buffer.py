@@ -21,6 +21,46 @@ from repro.errors import SamplingError
 #: interval index.
 OverflowHandler = Callable[[np.ndarray, int], None]
 
+#: Largest PC an int64 sample can carry.
+_PC_MAX = int(np.iinfo(np.int64).max)
+
+
+def checked_pcs(pcs: object, caller: str = "feed_many") -> np.ndarray:
+    """A delivered sample batch as int64 PCs, or a named rejection.
+
+    The batch must be a non-empty one-dimensional integer array of valid
+    addresses.  Float PCs would be silently truncated, an empty batch is
+    always a driver bug, and out-of-range PCs — negative values, or
+    unsigned values above the int64 range such as uint64 kernel-space
+    addresses — would wrap to other addresses, so each raises
+    :class:`~repro.errors.SamplingError` whose message starts with
+    *caller* and names the reason.  The range check is one min (signed
+    dtypes) or max (64-bit unsigned dtypes) pass.
+    """
+    pcs = np.asarray(pcs)
+    if pcs.ndim != 1:
+        raise SamplingError(
+            f"{caller} expects a 1-D sample batch, got shape {pcs.shape}")
+    if pcs.size == 0:
+        raise SamplingError(f"{caller} received an empty batch")
+    kind = pcs.dtype.kind
+    if kind not in "iu":
+        raise SamplingError(
+            f"{caller} expects integer PCs, got dtype {pcs.dtype}")
+    if kind == "i":
+        low = int(pcs.min())
+        if low < 0:
+            raise SamplingError(
+                f"{caller} rejected the batch (negative-pc): PC {low} "
+                f"is not an address")
+    elif pcs.dtype.itemsize >= 8:
+        high = int(pcs.max())
+        if high > _PC_MAX:
+            raise SamplingError(
+                f"{caller} rejected the batch (pc-out-of-range): PC "
+                f"{high:#x} exceeds the int64 range")
+    return pcs.astype(np.int64, copy=False)
+
 
 class SampleBuffer:
     """Fixed-capacity PC buffer that fires a handler on overflow.

@@ -52,11 +52,12 @@ import time
 
 import numpy as np
 
-from repro.errors import SamplingError, ServeError
+from repro.errors import ServeError
 from repro.faults.service import (DuplicateDelivery, ReorderDelivery,
                                   ServiceFaultPlan, TornSnapshot,
                                   WorkerCrash)
 from repro.monitor.watchdog import WatchdogEvent
+from repro.sampling.buffer import checked_pcs
 from repro.serve.config import ServeConfig
 from repro.serve.events import EventRecord
 from repro.serve.governor import StreamGovernor
@@ -215,12 +216,7 @@ class FleetSupervisor:
         shard = self._stream_shard.get(stream)
         if shard is None:
             raise ServeError(f"unknown stream {stream!r}")
-        samples = np.asarray(samples)
-        if samples.ndim != 1 or samples.size == 0 \
-                or not np.issubdtype(samples.dtype, np.integer):
-            raise SamplingError(
-                f"submit expects a non-empty 1-D integer batch, got "
-                f"shape {samples.shape} dtype {samples.dtype}")
+        samples = checked_pcs(samples, "submit")
         state = self._shards[shard]
         seq = state.next_seq
         if not self.governor.allows(stream, seq):

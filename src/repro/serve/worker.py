@@ -37,7 +37,7 @@ from typing import Any
 import numpy as np
 
 from repro.batch.session import BatchLane, BatchSession
-from repro.errors import SnapshotError
+from repro.errors import SamplingError, SnapshotError
 from repro.faults.service import (QueueStall, ServiceFaultPlan,
                                   TornSnapshot, WorkerCrash)
 from repro.serve.config import ServeConfig
@@ -94,6 +94,9 @@ class ShardWorker:
         self._stalls = {spec.at_seq: spec
                         for spec in shard_plan.of_kind(QueueStall.kind)}
         self._stalled: set[int] = set()
+        #: Deliveries rejected as invalid sample batches by this
+        #: incarnation (not persisted in snapshots).
+        self.rejected_batches = 0
         self.restored_seq = self._restore()
 
     # -- state ----------------------------------------------------------------
@@ -144,8 +147,17 @@ class ShardWorker:
                samples: np.ndarray) -> AppliedBatch:
         lane = self._lane(stream)
         before = lane.stats.intervals
-        lane.feed_many(np.asarray(samples, dtype=np.int64))
-        self.session.process_ready()
+        try:
+            lane.feed_many(samples)
+        except SamplingError:
+            # The supervisor validates every batch on submit, so only a
+            # delivery that bypassed it gets here.  It is consumed (the
+            # stream's cursor advances, so the stream is not wedged and a
+            # replay cannot crash-loop the worker) and counted, never
+            # applied.
+            self.rejected_batches += 1
+        else:
+            self.session.process_ready()
         events, self.cursors[stream] = extract_lane_events(
             lane, self.cursors[stream])
         self.stream_seqs[stream] = stream_seq + 1

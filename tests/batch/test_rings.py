@@ -61,6 +61,39 @@ class TestQueueing:
         # the existing lane's queue is untouched
         assert ring.take_interval(0).tolist() == [0, 1, 2, 3]
 
+    def test_contents_cursors_and_views_survive_lane_growth(self):
+        # Lanes added one at a time between pushes grow the matrix
+        # geometrically; queued samples, read cursors, ready lanes and
+        # direct round views must come through every growth.
+        ring = ShardRing(1, 4, capacity_intervals=2)
+        ring.push(0, np.arange(6))
+        ring.take_interval(0)  # lane 0: read column 4, two samples queued
+        rows = {ring.data.shape[0]}
+        for lane in range(1, 40):
+            assert ring.add_lane() == lane
+            ring.push(lane, np.arange(4) + 100 * lane)
+            rows.add(ring.data.shape[0])
+        assert ring.n_lanes == 40
+        assert sorted(rows) == [1, 2, 4, 8, 16, 32, 64]
+        assert ring.fill(0) == 2
+        assert list(ring.ready_lanes()) == list(range(1, 40))
+        block = ring.take_round(np.arange(1, 40))
+        assert block.base is ring.data
+        assert block.tolist() == [[100 * lane + i for i in range(4)]
+                                  for lane in range(1, 40)]
+        ring.push(0, np.arange(6, 8))
+        assert ring.take_interval(0).tolist() == [4, 5, 6, 7]
+        assert not ring.ready_lanes().size
+
+    def test_lanes_added_together_get_one_row_each(self):
+        ring = ShardRing(0, 4)
+        for _ in range(100):
+            ring.add_lane()
+        assert ring.n_lanes == 100 and not ring.ready_lanes().size
+        ring.push(99, np.arange(4))
+        assert ring.data.shape[0] == 100  # one exact allocation
+        assert ring.take_round(np.array([99])).tolist() == [[0, 1, 2, 3]]
+
     def test_popped_interval_is_a_view_and_never_wraps(self):
         ring = filled_ring(n_lanes=1)
         view = ring.take_interval(0)

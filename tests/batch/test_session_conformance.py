@@ -39,6 +39,14 @@ def lane_streams(n_lanes, name="181.mcf", period=25_000):
     return model, streams
 
 
+def assert_ledgers_match(scalar, lane):
+    """Every charged component: the batch path models the same work."""
+    for component in ("gpd_ops", "attribution_ops", "similarity_ops",
+                      "lpd_state_ops", "tree_maintenance_ops"):
+        assert getattr(scalar, component) == getattr(lane, component), \
+            component
+
+
 def assert_lane_matches_scalar(scalar, lane, scalar_sink, lane_sink):
     assert scalar.stats.intervals == lane.stats.intervals
     assert scalar.stats.samples == lane.stats.samples
@@ -70,6 +78,7 @@ def assert_lane_matches_scalar(scalar, lane, scalar_sink, lane_sink):
             == lane_monitor.phase_change_counts()
         assert scalar_monitor.stable_time_fractions() \
             == lane_monitor.stable_time_fractions()
+        assert_ledgers_match(scalar_monitor.ledger, lane_monitor.ledger)
     if scalar.gpd is not None:
         assert scalar.gpd.state == lane.gpd.state
         assert scalar.gpd.events == lane.gpd.events

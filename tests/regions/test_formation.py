@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.program.binary import BinaryBuilder, call, loop, straight
-from repro.regions.formation import RegionFormation
+from repro.regions.formation import RegionFormation, SeedSpans
 from repro.regions.region import RegionKind
 from repro.regions.registry import RegionRegistry
 
@@ -162,3 +162,26 @@ class TestInterprocedural:
         alpha = BINARY.loop_span("alpha")
         outcome = formation.form(pcs_at(alpha[0] + 8, 100))
         assert outcome.new_regions[0].kind is RegionKind.LOOP
+
+
+class TestSeedSpansMemo:
+    def test_one_memo_serves_every_formation_of_a_binary(self):
+        memo = SeedSpans(BINARY)
+        first = RegionFormation(BINARY, RegionRegistry(), seed_spans=memo)
+        second = RegionFormation(BINARY, RegionRegistry(), seed_spans=memo)
+        alpha = BINARY.loop_span("alpha")
+        first.form(pcs_at(alpha[0] + 8, 100))
+        outcome = second.form(pcs_at(alpha[0] + 8, 100))
+        assert [(r.start, r.end) for r in outcome.new_regions] == [alpha]
+        assert len(memo) == 1
+
+    def test_addresses_outside_the_program_are_not_kept(self):
+        formation = RegionFormation(BINARY, RegionRegistry())
+        for address in range(0x4, 0x400, 0x4):
+            formation.form(pcs_at(address, 10))
+        assert len(formation.seed_spans) == 0
+
+    def test_memo_must_match_the_configuration(self):
+        with pytest.raises(ValueError, match="seed_spans"):
+            RegionFormation(BINARY, RegionRegistry(), interprocedural=True,
+                            seed_spans=SeedSpans(BINARY))

@@ -52,6 +52,26 @@ class TestDeliveryDiscipline:
         assert worker.stream_seqs == {"alpha": N_BATCHES,
                                       "beta": N_BATCHES}
 
+    def test_invalid_delivery_is_consumed_and_counted(self, tmp_path,
+                                                      setup):
+        # Only a delivery that bypassed submit's validation can carry
+        # out-of-range PCs; the worker must neither apply nor crash on
+        # it, and the stream must keep flowing.
+        config, streams, batches = setup
+        worker = make_worker(tmp_path, config, streams)
+        hostile = Batch(seq=0, stream="alpha", stream_seq=0,
+                        samples=np.full(2032, -8, dtype=np.int64))
+        ack = worker.handle_batch(hostile)
+        assert [(a.stream_seq, a.intervals, a.events)
+                for a in ack.applied] == [(0, 0, ())]
+        assert worker.rejected_batches == 1
+        lane = worker.session.lanes[0]
+        assert lane.stats.samples == 0 and lane.pending_samples == 0
+        follow = batches[2]  # alpha's stream_seq 1
+        assert worker.handle_batch(
+            Batch(seq=1, stream="alpha", stream_seq=1,
+                  samples=follow.samples)).applied[0].intervals > 0
+
     def test_duplicates_are_acked_but_not_reapplied(self, tmp_path, setup):
         config, streams, batches = setup
         worker = make_worker(tmp_path, config, streams)
